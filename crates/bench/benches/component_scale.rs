@@ -1,30 +1,25 @@
-//! Component decomposition scaling: connected-component max-min solves,
-//! component-scoped warm starts, and router-zone sharding of the flow
-//! engine.
+//! Component structure of the flow engine: one-shot max-min solves,
+//! component-scoped warm starts, and router-zone sharding.
 //!
 //! Three measurements, all against deterministic shapes:
 //!
-//! 1. **Decomposition**: a block-structured `MaxMinProblem` (K independent
-//!    zones) solved through the component-parallel path at thread budgets
-//!    0 and 7 versus the undecomposed global oracle. Results are asserted
-//!    bit-identical outside the timed loops — the parallel path buys wall
-//!    time, never answers.
+//! 1. **One-shot solve**: a block-structured `MaxMinProblem` (K independent
+//!    zones) solved in one event loop, with the component count reported
+//!    by `solve_with_stats`.
 //! 2. **Warm starts on the checkpoint storm**: an E20-style storm where a
-//!    heavy steady wave occupies one namespace while a small churn job
-//!    arrives and drains on the other every minute. Under the global memo
-//!    scope every churn event re-solves the whole problem; under the
-//!    component scope the steady zone is answered from its memo and only
-//!    the churned component runs. The per-event solve-round ratio is the
-//!    headline number (asserted >= 5x) and lands in
-//!    `BENCH_components.json`.
+//!    heavy steady wave occupies several namespaces while a small churn job
+//!    arrives and drains on another every minute. The session memoizes per
+//!    component, so every churn event replays the steady zones from the
+//!    memo and only the churned component runs. The headline is the ratio
+//!    of rounds the memo saved to rounds executed (asserted >= 5x).
 //! 3. **Router-zone sharding**: the same storm through
 //!    `run_timestep_sharded` — shard-per-zone, zero cross-shard messages,
 //!    a single epoch window.
 //!
-//! With `--smoke` or `--bench` on the command line the bench writes
-//! `BENCH_components.json` into the workspace root; a bare invocation
-//! (`cargo test` running the bench target) shrinks the shapes and writes
-//! nothing.
+//! `--bench` writes `BENCH_components.json` into the workspace root;
+//! `--smoke` writes it to `target/bench-smoke/`, leaving the committed
+//! snapshot alone. A bare invocation (`cargo test` running the bench
+//! target) shrinks the shapes and writes nothing.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -32,17 +27,28 @@ use std::time::Instant;
 use spider_core::center::Center;
 use spider_core::config::CenterConfig;
 use spider_core::timestep::{run_timestep, run_timestep_sharded, Job, TimestepConfig};
-use spider_net::{FlowSpec, MaxMinProblem, MemoScope};
+use spider_net::{FlowSpec, MaxMinProblem};
 use spider_simkit::{SimDuration, SimTime, MIB};
 
 fn smoke() -> bool {
     std::env::args().any(|a| a == "--smoke") || !std::env::args().any(|a| a == "--bench")
 }
 
-/// JSON output is opt-in: `cargo test` runs this binary with neither flag
-/// and must not dirty the worktree.
-fn write_json() -> bool {
-    std::env::args().any(|a| a == "--smoke" || a == "--bench")
+/// Where the JSON snapshot goes: `target/bench-smoke/` under `--smoke`
+/// (checked first: `cargo bench` always passes `--bench`), the committed
+/// workspace-root file under `--bench`, nowhere otherwise (`cargo test`
+/// runs this binary with neither flag and must not dirty the worktree).
+fn json_path() -> Option<std::path::PathBuf> {
+    let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+    if std::env::args().any(|a| a == "--smoke") {
+        let dir = root.join("target/bench-smoke");
+        std::fs::create_dir_all(&dir).expect("target/ is writable");
+        Some(dir.join("BENCH_components.json"))
+    } else if std::env::args().any(|a| a == "--bench") {
+        Some(root.join("BENCH_components.json"))
+    } else {
+        None
+    }
 }
 
 /// Best-of-`iters` wall time in milliseconds.
@@ -94,8 +100,8 @@ fn block_problem(
 /// namespaces 1..`ns` (several large components whose shapes never change)
 /// plus a staggered pair of short churn jobs per wave on fs 0 with strictly
 /// increasing client counts (every churn event is a fresh shape, so the
-/// global memo can never answer it — but the steady components' scoped
-/// signatures always can).
+/// churned component always misses — but the steady components'
+/// signatures always hit).
 fn warm_start_storm(ns: usize, steady: u32, waves: u64, period: SimDuration) -> Vec<Job> {
     let mut jobs = Vec::new();
     for k in 0..steady {
@@ -135,26 +141,11 @@ fn main() {
         (64, 24, 40, 48, 40, 5)
     };
 
-    // ---- 1. component-parallel decomposition vs the global oracle ----
+    // ---- 1. one-shot solve of a block-structured problem ----
     let (p, flows) = block_problem(zones, res_per_zone, flows_per_zone);
     let (_, stats) = p.solve_with_stats(&flows);
     assert_eq!(stats.components, zones as u64, "one component per block");
-
-    rayon::set_spare_thread_budget(0);
-    let comp0_ms = time_ms(iters, || p.solve(&flows));
-    rayon::set_spare_thread_budget(7);
-    let comp7_ms = time_ms(iters, || p.solve(&flows));
-    rayon::set_spare_thread_budget(0);
-    let global_ms = time_ms(iters, || p.solve_global(&flows));
-
-    // Bit-identity spot-check outside the timed loops, at both budgets.
-    let oracle: Vec<u64> = p.solve_global(&flows).iter().map(|r| r.to_bits()).collect();
-    for budget in [0usize, 7] {
-        rayon::set_spare_thread_budget(budget);
-        let got: Vec<u64> = p.solve(&flows).iter().map(|r| r.to_bits()).collect();
-        assert_eq!(got, oracle, "budget {budget} diverged from the oracle");
-    }
-    rayon::set_spare_thread_budget(0);
+    let solve_ms = time_ms(iters, || p.solve(&flows));
 
     // ---- 2. component-scoped warm starts on the checkpoint storm ----
     // The small center widened to 8 namespaces (SSUs and router groups
@@ -169,98 +160,81 @@ fn main() {
     let period = SimDuration::from_secs(60);
     let jobs = warm_start_storm(center.namespaces(), steady, waves, period);
     let horizon = period * waves + SimDuration::from_secs(60);
-    let comp_cfg = TimestepConfig {
+    let cfg = TimestepConfig {
         horizon,
         ..TimestepConfig::default()
     };
-    let glob_cfg = TimestepConfig {
-        scope: MemoScope::Global,
-        ..comp_cfg.clone()
-    };
 
-    let comp = run_timestep(&center, &jobs, &comp_cfg);
-    let glob = run_timestep(&center, &jobs, &glob_cfg);
-    assert_eq!(
-        comp.completions, glob.completions,
-        "scope changes cost only"
-    );
-    let cs = comp.solver.expect("event-driven records session stats");
-    let gs = glob.solver.expect("event-driven records session stats");
-    let rounds_ratio = gs.rounds_executed as f64 / cs.rounds_executed.max(1) as f64;
+    let storm = run_timestep(&center, &jobs, &cfg);
+    let cs = storm.solver.expect("event-driven records session stats");
+    let saved_ratio = cs.rounds_saved as f64 / cs.rounds_executed.max(1) as f64;
     let skip_fraction = cs.components_skipped as f64
         / (cs.components_skipped + cs.components_resolved).max(1) as f64;
     assert!(
-        rounds_ratio >= 5.0,
-        "component scope must cut per-event solve rounds >= 5x, got {rounds_ratio:.1}x \
-         ({} vs {} rounds)",
-        gs.rounds_executed,
+        saved_ratio >= 5.0,
+        "per-component memo must save >= 5x the rounds it executes, got {saved_ratio:.1}x \
+         ({} saved vs {} executed)",
+        cs.rounds_saved,
         cs.rounds_executed
     );
-    let storm_comp_ms = time_ms(iters, || run_timestep(&center, &jobs, &comp_cfg));
-    let storm_glob_ms = time_ms(iters, || run_timestep(&center, &jobs, &glob_cfg));
+    let storm_ms = time_ms(iters, || run_timestep(&center, &jobs, &cfg));
 
     // ---- 3. router-zone sharding of the flow engine ----
-    let (sh, pdes) = run_timestep_sharded(&center, &jobs, &comp_cfg);
+    let (sh, pdes) = run_timestep_sharded(&center, &jobs, &cfg);
     assert_eq!(pdes.cross_messages, 0, "zones are independent");
     assert!(pdes.shards >= 2, "the storm spans >= 2 router zones");
-    for (i, (a, b)) in comp.completions.iter().zip(&sh.completions).enumerate() {
+    for (i, (a, b)) in storm.completions.iter().zip(&sh.completions).enumerate() {
         assert_eq!(a.is_some(), b.is_some(), "job {i} finish disagreement");
     }
-    rayon::set_spare_thread_budget(0);
-    let sharded0_ms = time_ms(iters, || run_timestep_sharded(&center, &jobs, &comp_cfg));
-    rayon::set_spare_thread_budget(7);
-    let sharded7_ms = time_ms(iters, || run_timestep_sharded(&center, &jobs, &comp_cfg));
-    rayon::set_spare_thread_budget(cores.saturating_sub(1));
+    let sharded_ms = time_ms(iters, || run_timestep_sharded(&center, &jobs, &cfg));
 
     println!(
-        "component_scale decomposition: {} flows, {} components (largest {}), \
-         component budget0 {comp0_ms:.2}ms, budget7 {comp7_ms:.2}ms, global {global_ms:.2}ms",
+        "component_scale solve: {} flows, {} components (largest {}), {solve_ms:.2}ms",
         flows.len(),
         stats.components,
         stats.largest_component
     );
     println!(
-        "component_scale storm: {} jobs, component scope {} rounds vs global {} \
-         ({rounds_ratio:.1}x fewer), skip fraction {skip_fraction:.3}",
+        "component_scale storm: {} jobs, {} rounds executed, {} saved ({saved_ratio:.1}x), \
+         skip fraction {skip_fraction:.3}, {storm_ms:.2}ms",
         jobs.len(),
         cs.rounds_executed,
-        gs.rounds_executed
+        cs.rounds_saved
     );
     println!(
-        "component_scale sharded: {} zones, {} epochs, {} cross-shard messages, \
-         budget0 {sharded0_ms:.2}ms, budget7 {sharded7_ms:.2}ms",
+        "component_scale sharded: {} zones, {} epochs, {} cross-shard messages, {sharded_ms:.2}ms",
         pdes.shards, pdes.epochs, pdes.cross_messages
     );
 
-    if write_json() {
+    if let Some(path) = json_path() {
         let json = format!(
             r#"{{
-  "machine": {{"cores": {cores}, "note": "numbers measured on this machine; on one core a budget-7 run time-shares a single core, so it measures coordination overhead, not scaling. The solver counters (components, rounds, skips, cross-shard messages) are deterministic and machine-independent; the rounds_ratio assertion (>= 5x) is checked by the bench itself"}},
+  "machine": {{"cores": {cores}, "note": "wall times measured on this machine; the solver counters (components, rounds, skips, cross-shard messages) are deterministic and machine-independent; the saved_ratio assertion (>= 5x) is checked by the bench itself"}},
   "command": "cargo bench -p spider-bench --bench component_scale -- --bench",
   "shape": {{"zones": {zones}, "resources_per_zone": {res_per_zone}, "flows_per_zone": {flows_per_zone}, "steady_jobs": {steady}, "churn_waves": {waves}, "smoke": {is_smoke}}},
-  "decomposition": {{
+  "solve": {{
     "flows": {n_flows},
     "components": {n_components},
     "largest_component": {largest},
-    "wall_ms": {{"component_budget0": {comp0_ms:.3}, "component_budget7": {comp7_ms:.3}, "global_oracle": {global_ms:.3}}},
-    "bitwise_identical_to_global": true
+    "wall_ms": {solve_ms:.3}
   }},
   "warm_starts": {{
     "storm_jobs": {n_jobs},
-    "solves": {{"component_scope": {csolves}, "global_scope": {gsolves}}},
-    "rounds_executed": {{"component_scope": {crounds}, "global_scope": {grounds}}},
-    "rounds_ratio": {rounds_ratio:.2},
+    "solves": {csolves},
+    "rounds_executed": {crounds},
+    "rounds_saved": {csaved},
+    "saved_ratio": {saved_ratio:.2},
     "components_resolved": {cresolved},
     "components_skipped": {cskipped},
     "skip_fraction": {skip_fraction:.4},
-    "wall_ms": {{"component_scope": {storm_comp_ms:.2}, "global_scope": {storm_glob_ms:.2}}}
+    "wall_ms": {storm_ms:.2}
   }},
   "sharded": {{
     "router_zones": {n_zones},
     "epoch_barriers": {epochs},
     "cross_shard_messages": {cross},
     "solves": {shsolves},
-    "wall_ms": {{"budget0": {sharded0_ms:.2}, "budget7": {sharded7_ms:.2}}}
+    "wall_ms": {sharded_ms:.2}
   }}
 }}
 "#,
@@ -270,9 +244,8 @@ fn main() {
             largest = stats.largest_component,
             n_jobs = jobs.len(),
             csolves = cs.solves,
-            gsolves = gs.solves,
             crounds = cs.rounds_executed,
-            grounds = gs.rounds_executed,
+            csaved = cs.rounds_saved,
             cresolved = cs.components_resolved,
             cskipped = cs.components_skipped,
             n_zones = pdes.shards,
@@ -280,9 +253,7 @@ fn main() {
             cross = pdes.cross_messages,
             shsolves = sh.solves,
         );
-        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        let path = std::path::Path::new(root).join("BENCH_components.json");
-        std::fs::write(&path, json).expect("workspace root is writable");
+        std::fs::write(&path, json).expect("bench output directory is writable");
         println!("component_scale: wrote {}", path.display());
     }
     if let Some(files) = spider_obs::finish() {

@@ -186,7 +186,7 @@ impl Merge for NsStats {
 /// generator; a `remote_share` fraction of ops also spawn a federated
 /// request to a random peer namespace, arriving one [`FEDERATION_HOP`]
 /// (plus float jitter) later. All timestamps are float-derived, so runs
-/// are tie-free and the epoch-parallel engine matches the sequential
+/// are tie-free and the epoch engine matches the sequential
 /// oracle bit for bit.
 pub struct NsShard {
     service: SimDuration,
@@ -285,7 +285,7 @@ pub fn federation_storm(
     eng
 }
 
-/// Run the storm on the epoch-parallel engine with obs wiring.
+/// Run the storm on the epoch engine with obs wiring.
 pub fn run_federation(
     namespaces: usize,
     ops_per_ns: u32,
@@ -375,7 +375,7 @@ mod tests {
     }
 
     #[test]
-    fn e8d_parallel_federation_matches_the_sequential_oracle_bitwise() {
+    fn e8d_epoch_federation_matches_the_sequential_oracle_bitwise() {
         let par = federation_storm(4, 800, 0.25, 0xE8D).run();
         let seq = federation_storm(4, 800, 0.25, 0xE8D).run_sequential();
         assert_eq!(par.outs.len(), seq.outs.len());

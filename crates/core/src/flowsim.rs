@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use spider_net::maxmin::{FlowSpec, MaxMinProblem, ResourceId, SolveStats};
-use spider_net::session::{FlowId, MemoScope, SessionStats, SolveSession};
+use spider_net::session::{FlowId, SessionStats, SolveSession};
 use spider_pfs::ost::OstId;
 use spider_simkit::Bandwidth;
 use spider_workload::ior::{IorConfig, IorTarget, RateClasses};
@@ -614,13 +614,6 @@ impl<'a> FlowSession<'a> {
     /// saved, …).
     pub fn solver_stats(&self) -> &SessionStats {
         self.solver.stats()
-    }
-
-    /// Set the underlying solver's memo scoping policy (default
-    /// [`MemoScope::Component`]): whether warm starts are per whole active
-    /// set or per router-zone component.
-    pub fn set_memo_scope(&mut self, scope: MemoScope) {
-        self.solver.set_memo_scope(scope);
     }
 
     /// The per-router-zone component structure of the active tests: groups

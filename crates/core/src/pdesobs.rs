@@ -1,14 +1,13 @@
 //! Observability wiring for sharded PDES runs.
 //!
 //! `spider-obs` depends on `spider-simkit`, so the engine itself cannot
-//! call the sinks — instead [`ShardedEngine::run_with_observer`] hands the
-//! coordinator thread a deterministic [`EpochReport`] after every barrier,
-//! and this module turns those reports into counters, gauges, and trace
-//! spans. Everything emitted is a pure function of the model (epoch
-//! indices, simulated-time window edges, event counts), never of the
-//! thread schedule, so the obs determinism contract holds: two runs at the
-//! same seed produce byte-identical metric and trace files regardless of
-//! thread count, and obs-off runs skip every sink call entirely
+//! call the sinks — instead [`ShardedEngine::run_with_observer`] hands its
+//! observer a deterministic [`EpochReport`] after every barrier, and this
+//! module turns those reports into counters, gauges, and trace spans.
+//! Everything emitted is a pure function of the model (epoch indices,
+//! simulated-time window edges, event counts), so the obs determinism
+//! contract holds: two runs at the same seed produce byte-identical metric
+//! and trace files, and obs-off runs skip every sink call entirely
 //! (`tests/obs_determinism.rs`).
 //!
 //! [`ShardedEngine::run_with_observer`]: spider_simkit::ShardedEngine::run_with_observer
@@ -23,8 +22,8 @@ pub const PDES_TRACK: u32 = 90;
 /// An observer for [`run_with_observer`] that emits one span per epoch
 /// batch (positioned at the window's simulated-time edges) plus the
 /// per-epoch counters and queue high-water gauge. `run_with_observer`
-/// invokes it from the coordinator thread in epoch order, so sink writes
-/// are deterministic by construction.
+/// invokes it in epoch order, so sink writes are deterministic by
+/// construction.
 ///
 /// [`run_with_observer`]: spider_simkit::ShardedEngine::run_with_observer
 pub fn epoch_observer(name: &'static str) -> impl FnMut(&EpochReport) {
@@ -44,10 +43,10 @@ pub fn epoch_observer(name: &'static str) -> impl FnMut(&EpochReport) {
             spider_obs::counter_add("pdes_epochs", 1);
             spider_obs::counter_add("pdes_cross_shard_messages", r.messages);
             spider_obs::queue_high_water_gauge("pdes", r.queue_high_water);
-            // Live feed, also coordinator-ordered: the poller advances to
-            // each epoch's window end and sees per-epoch event/message
-            // loads as `(metric, run-name)` series, so detector verdicts
-            // are identical for any worker thread count.
+            // Live feed, also in epoch order: the poller advances to each
+            // epoch's window end and sees per-epoch event/message loads as
+            // `(metric, run-name)` series, so detector verdicts are
+            // deterministic.
             if spider_obs::live_enabled() {
                 spider_obs::live_tick(r.end.as_nanos());
                 spider_obs::live_sample("pdes_epoch_events", name, r.events as f64);

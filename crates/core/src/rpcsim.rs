@@ -97,7 +97,7 @@ fn build_report(
     // ticks to each completion time and sees per-OST latency samples in
     // `(done, index)` order, which both the single-engine and sharded
     // paths produce identically — alarm logs are therefore byte-stable
-    // across paths and thread counts.
+    // across paths.
     if spider_obs::live_enabled() {
         for &(done, idx, lat) in &records {
             spider_obs::live_tick(done.as_nanos());
@@ -211,7 +211,7 @@ pub fn run_interference(
 struct OstShard<'a> {
     ost: &'a Ost,
     trace: &'a [IoRequest],
-    /// Single-queue arena: shards run in parallel, so each owns its slab.
+    /// Single-queue arena: each shard owns its slab.
     queue: FifoArena,
     in_service: Option<u32>,
     records: Vec<Record>,
@@ -261,7 +261,7 @@ impl Shard for OstShard<'_> {
 }
 
 /// [`run_interference`] partitioned one-OST-per-shard on the sharded PDES
-/// engine, epochs running across worker threads. Completions are folded
+/// engine. Completions are folded
 /// through the same canonical `(done, index)` sort as the single-engine
 /// path, so the report is **bit-identical** to [`run_interference`]'s —
 /// which stays in the tree as the differential oracle (enforced by

@@ -33,21 +33,21 @@
 //! a [`ShardedEngine`] running its own event-driven loop with its own
 //! resident [`FlowSession`]. Zones share no capacitated resource, so the
 //! run generates **zero cross-shard messages** and the legal lookahead is
-//! the whole horizon — a single epoch window, embarrassingly parallel.
-//! Each shard only ever solves its own zone, so a zone's job events no
+//! the whole horizon — a single epoch window. Each shard only ever solves
+//! its own zone, so a zone's job events no
 //! longer cost even a memo probe in the other zones. Within one zone the
 //! wake sequence replays the event-driven loop exactly (a single-zone
 //! sharded run is bit-identical to [`SteppingMode::EventDriven`]); across
 //! zones the engines cut the timeline at different event points, so moved
 //! bytes and completions agree to rounding, not bitwise — [`run_timestep`]'s
 //! callers compare them with the same one-log-interval bound the E20
-//! experiment pins. Live-telemetry sampling stays off in this mode: shard
-//! handlers run off the coordinator thread, where sample order would not be
-//! deterministic.
+//! experiment pins. Live-telemetry sampling stays off in this mode: each
+//! shard runs its whole zone to the horizon before the next starts, so
+//! samples would not arrive in time order.
 
 use std::collections::BTreeMap;
 
-use spider_net::{MemoScope, SessionStats};
+use spider_net::SessionStats;
 use spider_simkit::{
     Bandwidth, PdesConfig, PdesStats, Shard, ShardCtx, ShardedEngine, SimDuration, SimTime,
     TimeSeries,
@@ -169,11 +169,6 @@ pub struct TimestepConfig {
     pub log_interval: SimDuration,
     /// Advance mode; defaults to [`SteppingMode::EventDriven`].
     pub mode: SteppingMode,
-    /// Warm-start memo scope for the resident solver sessions (event-driven
-    /// and sharded modes). Defaults to [`MemoScope::Component`]; the
-    /// `component_scale` bench flips it to measure the component-scoped
-    /// saving on the checkpoint storm.
-    pub scope: MemoScope,
 }
 
 impl Default for TimestepConfig {
@@ -183,7 +178,6 @@ impl Default for TimestepConfig {
             horizon: SimDuration::from_hours(2),
             log_interval: SimDuration::from_secs(10),
             mode: SteppingMode::default(),
-            scope: MemoScope::default(),
         }
     }
 }
@@ -339,7 +333,6 @@ fn run_event_driven(center: &Center, jobs: &[Job], cfg: &TimestepConfig) -> Time
         .collect();
 
     let mut session = FlowSession::new(center);
-    session.set_memo_scope(cfg.scope);
 
     let mut steps = 0u64;
     let mut solves = 0u64;
@@ -646,23 +639,19 @@ pub fn run_timestep_sharded(
     let end = SimTime::ZERO + cfg.horizon;
     let shards: Vec<ZoneShard<'_>> = zones
         .iter()
-        .map(|idx| {
-            let mut session = FlowSession::new(center);
-            session.set_memo_scope(cfg.scope);
-            ZoneShard {
-                idx: idx.clone(),
-                jobs: idx.iter().map(|&i| jobs[i].clone()).collect(),
-                session,
-                remaining: idx.iter().map(|&i| jobs[i].total_bytes()).collect(),
-                completions: vec![None; idx.len()],
-                bytes_moved: vec![0.0; idx.len()],
-                test_of: vec![None; idx.len()],
-                logs: BTreeMap::new(),
-                solves: 0,
-                steps: 0,
-                end,
-                log_interval: cfg.log_interval,
-            }
+        .map(|idx| ZoneShard {
+            idx: idx.clone(),
+            jobs: idx.iter().map(|&i| jobs[i].clone()).collect(),
+            session: FlowSession::new(center),
+            remaining: idx.iter().map(|&i| jobs[i].total_bytes()).collect(),
+            completions: vec![None; idx.len()],
+            bytes_moved: vec![0.0; idx.len()],
+            test_of: vec![None; idx.len()],
+            logs: BTreeMap::new(),
+            solves: 0,
+            steps: 0,
+            end,
+            log_interval: cfg.log_interval,
         })
         .collect();
     let mut engine = ShardedEngine::new(PdesConfig::new(cfg.horizon, end, 0), shards);
@@ -979,32 +968,6 @@ mod tests {
         assert_eq!(sh.completions, ev.completions);
         assert_eq!(sh.bytes_moved, ev.bytes_moved);
         assert_eq!(sh.solves, ev.solves);
-    }
-
-    #[test]
-    fn memo_scope_does_not_change_the_trajectory() {
-        let c = center();
-        let jobs = vec![job(0, 16, 1, 0), job(1, 8, 1, 10), job(0, 16, 2, 45)];
-        let component = run_timestep(&c, &jobs, &TimestepConfig::default());
-        let global = run_timestep(
-            &c,
-            &jobs,
-            &TimestepConfig {
-                scope: MemoScope::Global,
-                ..TimestepConfig::default()
-            },
-        );
-        assert_eq!(component.completions, global.completions);
-        assert_eq!(component.bytes_moved, global.bytes_moved);
-        // The component-scoped session skips untouched zones; the global
-        // one re-solves everything it misses on.
-        let comp = component.solver.expect("event-driven records stats");
-        let glob = global.solver.expect("event-driven records stats");
-        assert!(comp.components_skipped > 0, "{comp:?}");
-        assert!(
-            comp.rounds_executed <= glob.rounds_executed,
-            "{comp:?} vs {glob:?}"
-        );
     }
 
     #[test]

@@ -23,17 +23,24 @@ pub use rules::{lint_source, FileKind, DEEP_RULES, QUARANTINE, RULES};
 use std::path::{Path, PathBuf};
 use tokens::Token;
 
-/// Directories never linted: build output, VCS, the external-crate shims
-/// (stand-ins for crates.io code, not ours), and the linter's own violation
-/// fixtures.
+/// Directories never linted: build output (including the benchmark
+/// package's `.bench_build`), VCS, the external-crate shims (stand-ins for
+/// crates.io code, not ours), and the linter's own violation fixtures.
 fn skip_dir(name: &str) -> bool {
-    matches!(name, "target" | ".git" | "shims" | "fixtures" | ".github")
+    matches!(
+        name,
+        "target" | ".bench_build" | ".git" | "shims" | "fixtures" | ".github"
+    )
 }
 
 /// Classify a workspace-relative path into the rule set it gets.
 pub fn classify(rel: &str) -> FileKind {
     let r = rel.replace('\\', "/");
-    if r.starts_with("crates/bench/") || r.starts_with("examples/") || r.contains("/examples/") {
+    if r.starts_with("crates/bench/")
+        || r.starts_with("perfbench/")
+        || r.starts_with("examples/")
+        || r.contains("/examples/")
+    {
         FileKind::Harness
     } else if r.starts_with("tests/") || r.contains("/tests/") || r.contains("/benches/") {
         FileKind::Test
@@ -208,11 +215,13 @@ mod tests {
             FileKind::Harness
         );
         assert_eq!(classify("examples/quickstart.rs"), FileKind::Harness);
+        assert_eq!(classify("perfbench/src/churn.rs"), FileKind::Harness);
     }
 
     #[test]
     fn skip_list() {
         assert!(skip_dir("target") && skip_dir("shims") && skip_dir("fixtures"));
+        assert!(skip_dir(".bench_build"));
         assert!(!skip_dir("src") && !skip_dir("tests"));
     }
 }

@@ -31,30 +31,26 @@
 //! [`MaxMinProblem::solve_reference`] is the naive full-rescan loop kept as
 //! the differential-testing oracle; both must agree to within 1e-6.
 //!
-//! # Component decomposition
+//! # Component structure
 //!
 //! Two flows are *coupled* when they are connected in the bipartite
 //! flow–resource graph: they share a resource, or share one transitively
 //! through other flows. Water-filling never moves capacity between
-//! components of that graph, so [`MaxMinProblem::solve`] partitions the
-//! flow set with a union-find over resource indices and solves each
-//! connected component independently — in parallel across components, in
-//! fixed component-id order — and scatters the per-component rates back
-//! into the flat result. The per-component solves are **bitwise identical**
-//! to the corresponding positions of one global event-driven solve: every
-//! float the solver touches (`active_weight`, checkpoints, levels) is
-//! per-resource state owned by exactly one component, the event loop
-//! processes events in ascending level order with deterministic tie-breaks
-//! (cap events by `(cap, flow position)`, saturation events by resource
-//! id), and the water level is monotone — so the global event sequence
-//! restricted to one component is exactly that component's own event
-//! sequence. [`MaxMinProblem::solve_global`] keeps the undecomposed path
-//! as the differential oracle for that claim.
+//! components of that graph, and the event loop processes events in
+//! ascending level order with deterministic tie-breaks (cap events by
+//! `(cap, flow position)`, saturation events by resource id) — so solving
+//! one component on its own executes exactly the float operations the
+//! whole-set solve executes on that component's flows, and the results are
+//! **bitwise identical**. [`crate::session::SolveSession`] relies on this
+//! to memoize and re-solve per component. The one-shot
+//! [`MaxMinProblem::solve`] runs the whole set in one event loop: on the
+//! block-structured `component_scale` problem that is faster than solving
+//! the components separately, sequentially or across threads.
+//! [`MaxMinProblem::solve_with_stats`] still reports the component count
+//! (one union-find pass) next to the event counters.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-use rayon::prelude::*;
 
 /// Identifier of a capacitated resource.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -161,17 +157,16 @@ pub struct SolveStats {
     /// of the same resource, or by its saturation or emptying).
     pub stale_discards: u64,
     /// Connected components in the flow–resource coupling graph (prefrozen
-    /// flows count as singletons; 0 for an empty flow set). Left at 0 by
-    /// the undecomposed [`MaxMinProblem::solve_global`] oracle.
+    /// flows count as singletons; 0 for an empty flow set). Only counted by
+    /// [`MaxMinProblem::solve_with_stats`].
     pub components: u64,
-    /// Flow count of the largest component. Left at 0 by
-    /// [`MaxMinProblem::solve_global`].
+    /// Flow count of the largest component. Only counted by
+    /// [`MaxMinProblem::solve_with_stats`].
     pub largest_component: u64,
-    /// Resources in the order they saturated. Only collected by
+    /// Resources in the order they saturated, one global order by
+    /// saturation level. Only collected by
     /// [`MaxMinProblem::solve_with_stats`] — the plain path skips the
-    /// allocation. On the component-decomposed path the order is grouped
-    /// by component (components are independent, so no global interleaving
-    /// is lost).
+    /// allocation.
     pub saturation_order: Vec<u32>,
 }
 
@@ -428,48 +423,30 @@ impl MaxMinProblem {
 
     /// Solve for the max-min fair per-member rates of `flows`.
     ///
-    /// Event-driven water-filling, decomposed over the connected components
-    /// of the flow–resource coupling graph (independent components solve in
-    /// parallel; a single-component problem takes the undecomposed path
-    /// directly). Every flow must either cross at least one resource or
-    /// carry a cap; otherwise its fair rate would be unbounded and the call
-    /// panics.
+    /// Event-driven water-filling over the whole flow set. Every flow must
+    /// either cross at least one resource or carry a cap; otherwise its fair
+    /// rate would be unbounded and the call panics.
     pub fn solve(&self, flows: &[FlowSpec]) -> Vec<f64> {
         let mut stats = SolveStats::default();
         let cols = FlowColumns::from_specs(flows);
-        let rates = self.solve_decomposed(&cols.view(), &mut stats, false);
+        let rates = self.solve_view(&cols.view(), &mut stats, false);
         if spider_obs::enabled() {
             stats.flush_obs();
         }
         rates
     }
 
-    /// Like [`Self::solve`], also returning the solver's event counters and
-    /// the order in which resources saturated.
+    /// Like [`Self::solve`], also returning the solver's event counters,
+    /// the order in which resources saturated, and the component structure
+    /// of the flow set.
     pub fn solve_with_stats(&self, flows: &[FlowSpec]) -> (Vec<f64>, SolveStats) {
         let mut stats = SolveStats::default();
         let cols = FlowColumns::from_specs(flows);
-        let rates = self.solve_decomposed(&cols.view(), &mut stats, true);
-        if spider_obs::enabled() {
-            stats.flush_obs();
-        }
-        (rates, stats)
-    }
-
-    /// Solve the whole flow set as one coupled problem, skipping the
-    /// component decomposition. This is the differential oracle for the
-    /// decomposed [`Self::solve`]: the two are bitwise identical on every
-    /// input (`components` / `largest_component` stay 0 here — this path
-    /// never counts them).
-    pub fn solve_global(&self, flows: &[FlowSpec]) -> Vec<f64> {
-        self.solve_global_with_stats(flows).0
-    }
-
-    /// [`Self::solve_global`] with the solver's event counters.
-    pub fn solve_global_with_stats(&self, flows: &[FlowSpec]) -> (Vec<f64>, SolveStats) {
-        let mut stats = SolveStats::default();
-        let cols = FlowColumns::from_specs(flows);
-        let rates = self.solve_view(&cols.view(), &mut stats, true);
+        let view = cols.view();
+        let rates = self.solve_view(&view, &mut stats, true);
+        let groups = self.components_of_view(&view);
+        stats.components = groups.len() as u64;
+        stats.largest_component = groups.iter().map(Vec::len).max().unwrap_or(0) as u64;
         if spider_obs::enabled() {
             stats.flush_obs();
         }
@@ -502,8 +479,8 @@ impl MaxMinProblem {
     /// Partition view positions into component groups under an existing
     /// union-find. The index may be *coarser* than the true partition
     /// (stale unions from removed flows): merged-but-independent components
-    /// still solve bit-identically, just with less parallelism, so callers
-    /// maintaining `uf` incrementally can rebuild lazily.
+    /// still solve bit-identically, just with coarser memo entries, so
+    /// callers maintaining `uf` incrementally can rebuild lazily.
     pub(crate) fn group_by_component(
         &self,
         v: &FlowsView<'_>,
@@ -525,84 +502,6 @@ impl MaxMinProblem {
             }
         }
         groups
-    }
-
-    /// Component-decomposed solve: partition, solve each component, scatter.
-    pub(crate) fn solve_decomposed(
-        &self,
-        flows: &FlowsView<'_>,
-        stats: &mut SolveStats,
-        want_order: bool,
-    ) -> Vec<f64> {
-        let groups = self.components_of_view(flows);
-        if groups.len() <= 1 {
-            // Single component: the decomposition would be the identity, so
-            // run the undecomposed core directly — zero per-component
-            // overhead, identical event counters.
-            stats.components = groups.len() as u64;
-            stats.largest_component = flows.len() as u64;
-            return self.solve_view(flows, stats, want_order);
-        }
-        self.solve_components(flows, &groups, stats, want_order)
-    }
-
-    /// Solve each component independently — in parallel, in fixed
-    /// component-id order — against the full problem (resource indices are
-    /// not remapped; a component view simply selects its member flows).
-    /// Rates scatter back by view position; counters sum in component
-    /// order. Bitwise identical to [`Self::solve_view`] on the whole view:
-    /// see the module docs.
-    pub(crate) fn solve_components(
-        &self,
-        flows: &FlowsView<'_>,
-        groups: &[Vec<u32>],
-        stats: &mut SolveStats,
-        want_order: bool,
-    ) -> Vec<f64> {
-        stats.components = groups.len() as u64;
-        stats.largest_component = groups.iter().map(Vec::len).max().unwrap_or(0) as u64;
-        let indexed: Vec<(u32, &Vec<u32>)> = groups
-            .iter()
-            .enumerate()
-            .map(|(g, members)| (g as u32, members))
-            .collect();
-        let mut parts: Vec<(u32, Vec<f64>, SolveStats)> = indexed
-            .par_iter()
-            .map(|&(g, members)| {
-                let ids: Vec<u32> = members.iter().map(|&k| flows.ids[k as usize]).collect();
-                let sub = FlowsView {
-                    ids: &ids,
-                    ..*flows
-                };
-                let mut st = SolveStats::default();
-                let rates = self.solve_view(&sub, &mut st, want_order);
-                (g, rates, st)
-            })
-            .collect();
-        // `collect` already preserves input order; the sort is the explicit
-        // fixed-order barrier canonicalizing the merge by component id
-        // regardless of which thread solved what.
-        parts.sort_by_key(|p| p.0);
-        let mut rates = vec![0.0f64; flows.len()];
-        for ((_, part_rates, st), members) in parts.iter().zip(groups) {
-            for (&k, &r) in members.iter().zip(part_rates) {
-                rates[k as usize] = r;
-            }
-            stats.flows += st.flows;
-            stats.prefrozen += st.prefrozen;
-            stats.rounds += st.rounds;
-            stats.cap_freezes += st.cap_freezes;
-            stats.saturation_freezes += st.saturation_freezes;
-            stats.heap_pushes += st.heap_pushes;
-            stats.heap_pops += st.heap_pops;
-            stats.stale_discards += st.stale_discards;
-            if want_order {
-                stats
-                    .saturation_order
-                    .extend_from_slice(&st.saturation_order);
-            }
-        }
-        rates
     }
 
     /// The event-driven solver core, running on a columnar [`FlowsView`].
@@ -705,8 +604,8 @@ impl MaxMinProblem {
             .collect();
         // Equal caps tie-break by view position: equal-cap freezes on a
         // shared resource subtract `active_weight` in a fixed order, which
-        // the component-decomposed path relies on to stay bit-identical to
-        // the global solve (a component view preserves relative positions).
+        // per-component session solves rely on to stay bit-identical to the
+        // whole-set solve (a component view preserves relative positions).
         by_cap.sort_unstable_by(|&a, &b| {
             let ca = flows.cap_of(a as usize);
             let cb = flows.cap_of(b as usize);
@@ -1229,88 +1128,6 @@ mod tests {
         assert_eq!(stats.largest_component, 3);
         assert_eq!(stats.flows, 6);
         assert_eq!(stats.prefrozen, 1);
-    }
-
-    #[test]
-    fn component_solve_is_bitwise_identical_to_global() {
-        // Randomized multi-component problems: paths drawn within disjoint
-        // resource blocks plus occasional full-range paths that merge
-        // blocks, solved decomposed vs undecomposed, compared to_bits().
-        let mut rng = spider_simkit::SimRng::seed_from_u64(23);
-        for _ in 0..40 {
-            let mut p = MaxMinProblem::new();
-            let blocks = 2 + rng.index(4);
-            let per_block = 2 + rng.index(4);
-            let rs: Vec<ResourceId> = (0..blocks * per_block)
-                .map(|_| {
-                    let cap = if rng.chance(0.1) {
-                        0.0
-                    } else {
-                        rng.range_f64(0.5, 40.0)
-                    };
-                    p.add_resource(cap)
-                })
-                .collect();
-            let n_flows = 1 + rng.index(50);
-            let flows: Vec<FlowSpec> = (0..n_flows)
-                .map(|_| {
-                    let k = 1 + rng.index(3);
-                    let path: Vec<ResourceId> = if rng.chance(0.05) {
-                        // Rare block-spanning flow.
-                        (0..k).map(|_| rs[rng.index(rs.len())]).collect()
-                    } else {
-                        let b = rng.index(blocks);
-                        (0..k)
-                            .map(|_| rs[b * per_block + rng.index(per_block)])
-                            .collect()
-                    };
-                    let mut f = FlowSpec::new(path);
-                    if rng.chance(0.4) {
-                        // Coarse caps make equal-cap ties common, pinning
-                        // the (cap, position) tie-break.
-                        f = f.with_cap(f64::from(1 + rng.index(3) as u32));
-                    }
-                    if rng.chance(0.4) {
-                        f = f.with_weight(rng.range_f64(0.5, 8.0));
-                    }
-                    f
-                })
-                .collect();
-            let decomposed: Vec<u64> = p.solve(&flows).iter().map(|r| r.to_bits()).collect();
-            let global: Vec<u64> = p.solve_global(&flows).iter().map(|r| r.to_bits()).collect();
-            assert_eq!(decomposed, global);
-            let reference = p.solve_reference(&flows);
-            for (a, b) in p.solve(&flows).iter().zip(&reference) {
-                assert!((a - b).abs() <= 1e-6 * (1.0 + b.abs()));
-            }
-        }
-    }
-
-    #[test]
-    fn single_component_takes_the_global_fast_path_with_zero_overhead() {
-        // One coupled component: the decomposed entry point must run the
-        // undecomposed core directly — identical rates AND identical event
-        // counters (no extra rounds, pushes, or pops from decomposition).
-        let mut p = MaxMinProblem::new();
-        let rs: Vec<ResourceId> = (0..8).map(|i| p.add_resource(2.0 + i as f64)).collect();
-        let flows: Vec<FlowSpec> = (0..40)
-            .map(|i| {
-                // Consecutive resources chain every flow into one component.
-                FlowSpec::new(vec![rs[i % 8], rs[(i + 1) % 8]]).with_weight(1.0 + (i % 5) as f64)
-            })
-            .collect();
-        let (rates, mut stats) = p.solve_with_stats(&flows);
-        let (global_rates, global_stats) = p.solve_global_with_stats(&flows);
-        let bits: Vec<u64> = rates.iter().map(|r| r.to_bits()).collect();
-        let global_bits: Vec<u64> = global_rates.iter().map(|r| r.to_bits()).collect();
-        assert_eq!(bits, global_bits);
-        assert_eq!(stats.components, 1);
-        assert_eq!(stats.largest_component, 40);
-        // Modulo the component counters (which the oracle never fills), the
-        // event counters must be *equal*, not merely consistent.
-        stats.components = 0;
-        stats.largest_component = 0;
-        assert_eq!(stats, global_stats);
     }
 
     #[test]

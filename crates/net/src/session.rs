@@ -7,28 +7,24 @@
 //!
 //! - [`SolveSession::add_flows`] / [`SolveSession::remove_flows`] /
 //!   [`SolveSession::update_weight`] edit the resident flow set in place.
-//! - Full solutions are memoized under a deterministic *active-set
-//!   signature* — a 128-bit hash of the live flows' paths, caps, and
-//!   weights in solve order, deliberately blind to flow identity, so a
-//!   recurring workload shape (the same checkpoint wave appearing with
-//!   fresh [`FlowId`]s every period) warm-starts from its previous fixed
-//!   point instead of re-running the water-filling.
+//! - Fixed points are memoized per *connected component* of the
+//!   flow–resource coupling graph (see the `maxmin` module docs), under a
+//!   deterministic signature — a 128-bit hash of the component's live
+//!   flows' paths, caps, and weights in solve order, deliberately blind to
+//!   flow identity, so a recurring workload shape (the same checkpoint wave
+//!   appearing with fresh [`FlowId`]s every period) warm-starts from its
+//!   previous fixed point instead of re-running the water-filling.
 //!
 //! # Component-scoped warm starts
 //!
-//! Under the default [`MemoScope::Component`], signatures and memo entries
-//! are per *connected component* of the flow–resource coupling graph (see
-//! the `maxmin` module docs), not per whole active set. The session keeps
-//! the component index incrementally — resources union on every add, and a
-//! remove marks the index for a lazy rebuild at the next solve — so churn
-//! on one job invalidates only that job's component: every untouched
-//! component replays its memoized fixed point and only the touched one
-//! re-runs the water-filling. That turns a checkpoint storm's per-event
-//! cost from O(total flows) into O(touched component).
-//! [`MemoScope::Global`] keeps the original whole-set signature behavior
-//! as the measurable baseline. Both scopes preserve the bitwise contract
-//! below, because component-decomposed solves are bit-identical to global
-//! solves by construction.
+//! The session keeps the component index incrementally — resources union
+//! on every add, and a remove marks the index for a lazy rebuild at the
+//! next solve — so churn on one job invalidates only that job's component:
+//! every untouched component replays its memoized fixed point and only the
+//! touched ones re-run the water-filling, one after another in component
+//! order. That turns a checkpoint storm's per-event cost from O(total
+//! flows) into O(touched component). On the `component_scale` storm a
+//! whole-set signature executed 6.4× the rounds of per-component ones.
 //!
 //! # Bitwise contract
 //!
@@ -43,8 +39,6 @@
 //! different roundoff, breaking the differential oracle.
 
 use std::collections::BTreeMap;
-
-use rayon::prelude::*;
 
 use crate::maxmin::{
     FlowColumns, FlowSpec, FlowsView, MaxMinProblem, ResourceUnionFind, SolveStats,
@@ -62,26 +56,13 @@ impl FlowId {
     }
 }
 
-/// Memo scoping policy for a [`SolveSession`]: what one signature (and so
-/// one memo entry) covers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum MemoScope {
-    /// One signature over the whole active set — any churn anywhere misses.
-    /// The original session behavior, kept as the measurable baseline.
-    Global,
-    /// One signature per connected component — churn misses only the
-    /// touched component; every other component replays its fixed point.
-    #[default]
-    Component,
-}
-
 /// Event counters for one [`SolveSession`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Calls to [`SolveSession::solve`].
     pub solves: u64,
     /// Solves answered entirely from the memo without running the core
-    /// (under [`MemoScope::Component`]: every live component hit).
+    /// (every live component hit).
     pub cache_hits: u64,
     /// Solves that ran the water-filling core on at least one component
     /// (and populated the memo).
@@ -91,16 +72,16 @@ pub struct SessionStats {
     pub rounds_saved: u64,
     /// Event-loop rounds actually executed by cold solves.
     pub rounds_executed: u64,
-    /// Components re-solved cold ([`MemoScope::Component`] only).
+    /// Components re-solved cold.
     pub components_resolved: u64,
-    /// Components replayed from the memo ([`MemoScope::Component`] only).
+    /// Components replayed from the memo.
     pub components_skipped: u64,
     /// Memo entries evicted by the oldest-half policy.
     pub memo_evictions: u64,
 }
 
-/// A memoized fixed point: per-member rates of the non-prefrozen flows the
-/// signature covers, in solve order, plus what the solve originally cost
+/// A memoized fixed point: per-member rates of one component's flows, in
+/// solve order, plus what the solve originally cost
 /// and when the entry was inserted (for age-ordered eviction).
 #[derive(Debug, Clone)]
 struct MemoEntry {
@@ -133,7 +114,6 @@ pub struct SolveSession {
     /// the next solve).
     uf: ResourceUnionFind,
     rebuild_pending: bool,
-    scope: MemoScope,
     stats: SessionStats,
     /// Rates of the last [`SolveSession::solve`], aligned with
     /// `last_active`.
@@ -164,24 +144,10 @@ impl SolveSession {
             next_epoch: 0,
             uf,
             rebuild_pending: false,
-            scope: MemoScope::default(),
             stats: SessionStats::default(),
             last_rates: Vec::new(),
             last_active: Vec::new(),
         }
-    }
-
-    /// Set the memo scoping policy (default [`MemoScope::Component`]).
-    /// Existing entries stay valid under either scope — signatures are
-    /// content-addressed, so a hit always replays a fixed point of the
-    /// exact flow set it covers.
-    pub fn set_memo_scope(&mut self, scope: MemoScope) {
-        self.scope = scope;
-    }
-
-    /// The active memo scoping policy.
-    pub fn memo_scope(&self) -> MemoScope {
-        self.scope
     }
 
     /// The underlying problem (resources and capacities).
@@ -303,26 +269,13 @@ impl SolveSession {
         }
     }
 
-    /// The deterministic active-set signature: two independent FNV-1a-64
-    /// passes (different offset bases) over the non-prefrozen active flows'
-    /// paths, cap bits, and weight bits, in solve order. Slot ids are
-    /// deliberately excluded so identical workload shapes re-appearing with
-    /// fresh ids still hit the memo; prefrozen flows are excluded because
-    /// their rate is always exactly 0.
-    fn signature(&self) -> (u64, u64) {
-        let mut h = (0xcbf2_9ce4_8422_2325u64, 0x9ae1_6a3b_2f90_404fu64);
-        for &s in &self.cols.ids {
-            if !self.prefrozen[s as usize] {
-                self.sig_fold(&mut h, s as usize);
-            }
-        }
-        h
-    }
-
-    /// Per-component signature: the same hash restricted to one component's
-    /// members (view positions into `cols.ids`, ascending). Component
-    /// membership is derived from paths, so identical component shapes on
-    /// identical resources re-appearing after churn hash equal.
+    /// Per-component signature: two independent FNV-1a-64 passes (different
+    /// offset bases) over one component's members (view positions into
+    /// `cols.ids`, ascending) — their paths, cap bits, and weight bits, in
+    /// solve order. Slot ids are deliberately excluded so identical
+    /// component shapes on identical resources re-appearing with fresh ids
+    /// still hit the memo; prefrozen flows are excluded because their rate
+    /// is always exactly 0.
     fn group_signature(&self, members: &[u32]) -> (u64, u64) {
         let mut h = (0xcbf2_9ce4_8422_2325u64, 0x9ae1_6a3b_2f90_404fu64);
         for &k in members {
@@ -399,80 +352,25 @@ impl SolveSession {
 
     /// Solve for the max-min fair per-member rates of the active flows, in
     /// solve order (ascending [`FlowId`]). Bit-identical to
-    /// [`MaxMinProblem::solve`] over the same flows in the same order,
-    /// under either [`MemoScope`].
+    /// [`MaxMinProblem::solve`] over the same flows in the same order.
+    ///
+    /// One signature per component: every component that hits the memo
+    /// replays its fixed point; the ones that miss re-solve one after
+    /// another, in component order.
     pub fn solve(&mut self) -> &[f64] {
         self.stats.solves += 1;
-        match self.scope {
-            MemoScope::Global => self.solve_global_scope(),
-            MemoScope::Component => self.solve_component_scope(),
-        }
-        self.last_active.clear();
-        self.last_active.extend_from_slice(&self.cols.ids);
-        &self.last_rates
-    }
-
-    /// One whole-set signature; hit replays everything, miss re-solves
-    /// everything. The pre-decomposition behavior, kept as the baseline.
-    fn solve_global_scope(&mut self) {
-        let sig = self.signature();
-        if let Some(entry) = self.memo.get(&sig) {
-            self.stats.cache_hits += 1;
-            self.stats.rounds_saved += entry.rounds;
-            if spider_obs::enabled() {
-                spider_obs::counter_add("maxmin_cache_hits", 1);
-                spider_obs::counter_add("maxmin_warm_rounds_saved", entry.rounds);
-            }
-            // Replay the fixed point: prefrozen actives are exactly 0.
-            self.last_rates.clear();
-            let mut live = entry.live_rates.iter();
-            for &s in &self.cols.ids {
-                if self.prefrozen[s as usize] {
-                    self.last_rates.push(0.0);
-                } else {
-                    self.last_rates
-                        .push(*live.next().expect("memo entry matches active set"));
-                }
-            }
-        } else {
-            self.stats.cache_misses += 1;
-            if spider_obs::enabled() {
-                spider_obs::counter_add("maxmin_cache_misses", 1);
-            }
-            let mut stats = SolveStats::default();
-            self.last_rates = self
-                .problem
-                .solve_decomposed(&self.cols.view(), &mut stats, false);
-            self.stats.rounds_executed += stats.rounds;
-            if spider_obs::enabled() {
-                stats.flush_obs();
-            }
-            let live_rates = self
-                .cols
-                .ids
-                .iter()
-                .zip(&self.last_rates)
-                .filter(|(&s, _)| !self.prefrozen[s as usize])
-                .map(|(_, &r)| r)
-                .collect();
-            self.memo_insert(sig, live_rates, stats.rounds);
-        }
-    }
-
-    /// One signature per component: replay every component that hits,
-    /// re-solve only the ones that miss (in parallel, in component order).
-    fn solve_component_scope(&mut self) {
         if self.rebuild_pending {
             self.rebuild_index();
         }
         let groups = self
             .problem
             .group_by_component(&self.cols.view(), &mut self.uf);
-        let sigs: Vec<(u64, u64)> = groups.iter().map(|g| self.group_signature(g)).collect();
 
+        // Look every component up before inserting anything, so a solve's
+        // hits never depend on the entries (or evictions) of its own misses.
         self.last_rates.clear();
         self.last_rates.resize(self.cols.ids.len(), 0.0);
-        let mut missing: Vec<usize> = Vec::new();
+        let mut missing: Vec<(usize, (u64, u64))> = Vec::new();
         let mut skipped = 0u64;
         let mut saved_rounds = 0u64;
         for (gi, members) in groups.iter().enumerate() {
@@ -484,77 +382,70 @@ impl SolveSession {
             {
                 continue;
             }
-            if let Some(entry) = self.memo.get(&sigs[gi]) {
+            let sig = self.group_signature(members);
+            if let Some(entry) = self.memo.get(&sig) {
                 skipped += 1;
                 saved_rounds += entry.rounds;
-                self.stats.rounds_saved += entry.rounds;
                 for (&k, &r) in members.iter().zip(&entry.live_rates) {
                     self.last_rates[k as usize] = r;
                 }
             } else {
-                missing.push(gi);
+                missing.push((gi, sig));
             }
         }
+        let resolved = missing.len() as u64;
+        let mut total = SolveStats::default();
+        let mut ids: Vec<u32> = Vec::new();
+        for (gi, sig) in missing {
+            let members = &groups[gi];
+            ids.clear();
+            ids.extend(members.iter().map(|&k| self.cols.ids[k as usize]));
+            let sub = FlowsView {
+                ids: &ids,
+                ..self.cols.view()
+            };
+            let mut st = SolveStats::default();
+            let rates = self.problem.solve_view(&sub, &mut st, false);
+            for (&k, &r) in members.iter().zip(&rates) {
+                self.last_rates[k as usize] = r;
+            }
+            total.flows += st.flows;
+            total.prefrozen += st.prefrozen;
+            total.rounds += st.rounds;
+            total.cap_freezes += st.cap_freezes;
+            total.saturation_freezes += st.saturation_freezes;
+            total.heap_pushes += st.heap_pushes;
+            total.heap_pops += st.heap_pops;
+            total.stale_discards += st.stale_discards;
+            self.memo_insert(sig, rates, st.rounds);
+        }
         self.stats.components_skipped += skipped;
-        self.stats.components_resolved += missing.len() as u64;
-
-        if missing.is_empty() {
+        self.stats.components_resolved += resolved;
+        self.stats.rounds_saved += saved_rounds;
+        self.stats.rounds_executed += total.rounds;
+        if resolved == 0 {
             self.stats.cache_hits += 1;
         } else {
             self.stats.cache_misses += 1;
-            let mut total = SolveStats::default();
-            let solved: Vec<(Vec<f64>, SolveStats)> = {
-                let problem = &self.problem;
-                let view = self.cols.view();
-                let tasks: Vec<&Vec<u32>> = missing.iter().map(|&gi| &groups[gi]).collect();
-                tasks
-                    .par_iter()
-                    .map(|&members| {
-                        let ids: Vec<u32> = members.iter().map(|&k| view.ids[k as usize]).collect();
-                        let sub = FlowsView { ids: &ids, ..view };
-                        let mut st = SolveStats::default();
-                        let rates = problem.solve_view(&sub, &mut st, false);
-                        (rates, st)
-                    })
-                    .collect()
-            };
-            // `collect` preserves task order; sorting by component id is the
-            // explicit fixed-order barrier for the scatter below.
-            let mut ordered: Vec<(usize, (Vec<f64>, SolveStats))> =
-                missing.iter().copied().zip(solved).collect();
-            ordered.sort_by_key(|&(gi, _)| gi);
-            for (gi, (rates, st)) in ordered {
-                for (&k, &r) in groups[gi].iter().zip(&rates) {
-                    self.last_rates[k as usize] = r;
-                }
-                self.stats.rounds_executed += st.rounds;
-                let rounds = st.rounds;
-                total.flows += st.flows;
-                total.prefrozen += st.prefrozen;
-                total.rounds += st.rounds;
-                total.cap_freezes += st.cap_freezes;
-                total.saturation_freezes += st.saturation_freezes;
-                total.heap_pushes += st.heap_pushes;
-                total.heap_pops += st.heap_pops;
-                total.stale_discards += st.stale_discards;
-                self.memo_insert(sigs[gi], rates, rounds);
-            }
-            if spider_obs::enabled() {
+        }
+        if spider_obs::enabled() {
+            if resolved > 0 {
                 total.components = groups.len() as u64;
                 total.largest_component = groups.iter().map(Vec::len).max().unwrap_or(0) as u64;
                 total.flush_obs();
             }
-        }
-        if spider_obs::enabled() {
             spider_obs::counter_add("maxmin_components_skipped", skipped);
-            spider_obs::counter_add("maxmin_components_resolved", missing.len() as u64);
-            if missing.is_empty() {
+            spider_obs::counter_add("maxmin_components_resolved", resolved);
+            if resolved == 0 {
                 spider_obs::counter_add("maxmin_cache_hits", 1);
                 spider_obs::counter_add("maxmin_warm_rounds_saved", saved_rounds);
             } else {
                 spider_obs::counter_add("maxmin_cache_misses", 1);
             }
         }
+        self.last_active.clear();
+        self.last_active.extend_from_slice(&self.cols.ids);
+        &self.last_rates
     }
 
     /// Per-member rates from the last [`Self::solve`], in solve order.
@@ -758,7 +649,6 @@ mod tests {
         let a = p.add_resource(10.0);
         let b = p.add_resource(20.0);
         let mut sess = SolveSession::new(p);
-        assert_eq!(sess.memo_scope(), MemoScope::Component);
         for _ in 0..4 {
             sess.add_flow(&FlowSpec::new(vec![a]));
             sess.add_flow(&FlowSpec::new(vec![b]));
@@ -836,38 +726,6 @@ mod tests {
         // ...while the very first (oldest) shape was evicted.
         solve_shape(&mut sess, 1.0);
         assert_eq!(sess.stats().cache_misses, misses_before + 1);
-    }
-
-    #[test]
-    fn global_scope_matches_component_scope_bitwise() {
-        let mut rng = spider_simkit::SimRng::seed_from_u64(31);
-        let mut p = MaxMinProblem::new();
-        let rs: Vec<ResourceId> = (0..10)
-            .map(|_| p.add_resource(rng.range_f64(1.0, 30.0)))
-            .collect();
-        let mut comp = SolveSession::new(p.clone());
-        let mut glob = SolveSession::new(p);
-        glob.set_memo_scope(MemoScope::Global);
-        let mut live: Vec<FlowId> = Vec::new();
-        for step in 0..80 {
-            if live.len() < 3 || rng.chance(0.6) {
-                // Paths within one of two blocks keep several components.
-                let block = rng.index(2) * 5;
-                let k = 1 + rng.index(2);
-                let path: Vec<ResourceId> = (0..k).map(|_| rs[block + rng.index(5)]).collect();
-                let spec = FlowSpec::new(path).with_weight(1.0 + (step % 7) as f64);
-                comp.add_flow(&spec);
-                live.push(glob.add_flow(&spec));
-            } else {
-                let id = live.remove(rng.index(live.len()));
-                comp.remove_flow(id);
-                glob.remove_flow(id);
-            }
-            assert_eq!(bits(comp.solve()), bits(glob.solve()));
-        }
-        // Component scoping must actually have warm-started something.
-        assert!(comp.stats().components_skipped > 0);
-        assert!(comp.stats().rounds_executed <= glob.stats().rounds_executed);
     }
 
     #[test]

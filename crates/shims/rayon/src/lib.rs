@@ -1,8 +1,8 @@
 //! Offline stand-in for the `rayon` crate.
 //!
 //! The build environment has no access to crates.io, so this crate provides
-//! the subset of the rayon API the workspace uses: `par_iter()` over slices
-//! and `Vec`s with `map` / `collect` / `reduce` / `sum`. Parallelism is real
+//! the subset of the rayon API the workspace uses: `par_iter()` over `Vec`s
+//! with `map` / `collect` / `reduce`. Parallelism is real
 //! — chunks are distributed over `std::thread::scope` threads — but there is
 //! no work stealing. A global thread budget keeps *nested* parallel calls
 //! (e.g. recursive tree walks) from spawning unbounded threads: once the
@@ -24,8 +24,11 @@ fn acquire_workers(wanted: usize) -> usize {
         let par = std::thread::available_parallelism()
             .map(|n| n.get() as isize)
             .unwrap_or(4);
-        // Racy double-init is fine: both writers store the same value.
-        SPARE_THREADS.store(par - 1, Ordering::Relaxed);
+        // Two threads whose first parallel calls overlap can both see -1.
+        // Only the first initialises: a plain store from the second would
+        // overwrite a budget the first has already drawn from, leaving it
+        // one thread too high for the rest of the process.
+        let _ = SPARE_THREADS.compare_exchange(-1, par - 1, Ordering::Relaxed, Ordering::Relaxed);
     }
     let mut granted = 0;
     while granted < wanted {
@@ -104,51 +107,6 @@ where
     out.into_iter().map(|r| r.expect("slot filled")).collect()
 }
 
-/// Parallel ordered map over mutable references: `out[i] = f(&mut items[i])`.
-fn parallel_map_mut<'a, T, R, F>(items: &'a mut [T], f: &F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(&'a mut T) -> R + Sync,
-{
-    let n = items.len();
-    if n <= 1 {
-        return items.iter_mut().map(f).collect();
-    }
-    let extra = acquire_workers((n - 1).min(64));
-    if extra == 0 {
-        return items.iter_mut().map(f).collect();
-    }
-    let threads = extra + 1;
-    let chunk = n.div_ceil(threads);
-    let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    let mut slots: Vec<&mut [Option<R>]> = out.chunks_mut(chunk).collect();
-    let chunks: Vec<&'a mut [T]> = items.chunks_mut(chunk).collect();
-    std::thread::scope(|scope| {
-        let mut chunks = chunks;
-        let first_work = chunks.remove(0);
-        let (first_slot, rest_slots) = slots.split_at_mut(1);
-        let mut helpers = Vec::new();
-        for (slot, work) in rest_slots.iter_mut().zip(chunks) {
-            let slot: &mut [Option<R>] = slot;
-            helpers.push(scope.spawn(move || {
-                for (s, item) in slot.iter_mut().zip(work) {
-                    *s = Some(f(item));
-                }
-            }));
-        }
-        for (s, item) in first_slot[0].iter_mut().zip(first_work) {
-            *s = Some(f(item));
-        }
-        for h in helpers {
-            h.join().expect("parallel worker panicked");
-        }
-    });
-    release_workers(extra);
-    out.into_iter().map(|r| r.expect("slot filled")).collect()
-}
-
 /// Borrowing conversion into a parallel iterator (`.par_iter()`).
 pub trait IntoParallelRefIterator<'a> {
     /// Element type yielded by reference.
@@ -157,86 +115,10 @@ pub trait IntoParallelRefIterator<'a> {
     fn par_iter(&'a self) -> ParIter<'a, Self::Item>;
 }
 
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
-    type Item = T;
-    fn par_iter(&'a self) -> ParIter<'a, T> {
-        ParIter { items: self }
-    }
-}
-
 impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
     type Item = T;
     fn par_iter(&'a self) -> ParIter<'a, T> {
         ParIter { items: self }
-    }
-}
-
-/// Borrowing conversion into a mutable parallel iterator (`.par_iter_mut()`).
-pub trait IntoParallelRefMutIterator<'a> {
-    /// Element type yielded by mutable reference.
-    type Item: Send + 'a;
-    /// Start a parallel pipeline over `&mut self`.
-    fn par_iter_mut(&'a mut self) -> ParIterMut<'a, Self::Item>;
-}
-
-impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for [T] {
-    type Item = T;
-    fn par_iter_mut(&'a mut self) -> ParIterMut<'a, T> {
-        ParIterMut { items: self }
-    }
-}
-
-impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for Vec<T> {
-    type Item = T;
-    fn par_iter_mut(&'a mut self) -> ParIterMut<'a, T> {
-        ParIterMut { items: self }
-    }
-}
-
-/// A parallel iterator over mutable slice elements.
-#[derive(Debug)]
-pub struct ParIterMut<'a, T> {
-    items: &'a mut [T],
-}
-
-impl<'a, T: Send> ParIterMut<'a, T> {
-    /// Apply `f` to every element in parallel, mutably.
-    pub fn map<R, F>(self, f: F) -> ParMapMut<'a, T, F>
-    where
-        R: Send,
-        F: Fn(&'a mut T) -> R + Sync,
-    {
-        ParMapMut {
-            items: self.items,
-            f,
-        }
-    }
-}
-
-/// The result of [`ParIterMut::map`]: a mapped mutable parallel pipeline.
-#[derive(Debug)]
-pub struct ParMapMut<'a, T, F> {
-    items: &'a mut [T],
-    f: F,
-}
-
-impl<'a, T, R, F> ParMapMut<'a, T, F>
-where
-    T: Send,
-    R: Send,
-    F: Fn(&'a mut T) -> R + Sync,
-{
-    /// Collect mapped values in input order.
-    pub fn collect<C: FromParallelIterator<R>>(self) -> C {
-        C::from_par_vec(parallel_map_mut(self.items, &self.f))
-    }
-
-    /// Sum mapped values.
-    pub fn sum<S>(self) -> S
-    where
-        S: std::iter::Sum<R>,
-    {
-        parallel_map_mut(self.items, &self.f).into_iter().sum()
     }
 }
 
@@ -290,14 +172,6 @@ where
     {
         self.run().into_iter().fold(identity(), op)
     }
-
-    /// Sum mapped values.
-    pub fn sum<S>(self) -> S
-    where
-        S: std::iter::Sum<R>,
-    {
-        self.run().into_iter().sum()
-    }
 }
 
 /// Collections constructible from an ordered parallel pipeline.
@@ -314,7 +188,7 @@ impl<T> FromParallelIterator<T> for Vec<T> {
 
 /// The traits user code imports, mirroring `rayon::prelude`.
 pub mod prelude {
-    pub use crate::{FromParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator};
+    pub use crate::{FromParallelIterator, IntoParallelRefIterator};
 }
 
 #[cfg(test)]
@@ -342,31 +216,10 @@ mod tests {
             .par_iter()
             .map(|&o| {
                 let inner: Vec<u64> = (0..64).collect();
-                inner.par_iter().map(|&i| o + i).sum::<u64>()
+                inner.par_iter().map(|&i| o + i).reduce(|| 0, |a, b| a + b)
             })
             .collect();
         let expect: Vec<u64> = (0..64).map(|o| (0..64).map(|i| o + i).sum()).collect();
         assert_eq!(sums, expect);
-    }
-
-    #[test]
-    fn map_mut_collect_mutates_in_place_and_preserves_order() {
-        let mut xs: Vec<u64> = (0..5_000).collect();
-        let ys: Vec<u64> = xs
-            .par_iter_mut()
-            .map(|x| {
-                *x += 1;
-                *x * 10
-            })
-            .collect();
-        assert_eq!(xs, (1..=5_000).collect::<Vec<_>>());
-        assert_eq!(ys, (1..=5_000).map(|x| x * 10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sum_works() {
-        let xs: Vec<u32> = (0..100).collect();
-        let s: u32 = xs.par_iter().map(|&x| x).sum();
-        assert_eq!(s, 4950);
     }
 }

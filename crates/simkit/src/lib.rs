@@ -20,11 +20,11 @@
 //! - [`montecarlo`]: a parallel, deterministic replication engine —
 //!   counter-based per-replication RNG streams and a fixed-order tree
 //!   reduction, bit-identical across thread counts.
-//! - [`pdes`]: a sharded parallel discrete-event core — one simulation
-//!   partitioned across shards with conservative epoch-barrier
-//!   synchronization (model-declared lookahead), per-`(src, dst)` mailboxes
-//!   flushed in fixed order, and fixed-shape merges: a single run is
-//!   bit-identical across thread counts.
+//! - [`pdes`]: a sharded discrete-event core — one simulation partitioned
+//!   across shards with conservative epoch-barrier synchronization
+//!   (model-declared lookahead), per-`(src, dst)` mailboxes flushed in
+//!   fixed order, and fixed-shape merges: a single run is bit-identical to
+//!   its global-order sequential oracle.
 //! - [`mem`]: deterministic memory accounting ([`MemFootprint`]) — container
 //!   capacities, never wall-clock or allocator globals, so byte gauges are
 //!   reproducible run to run.

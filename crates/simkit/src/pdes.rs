@@ -1,12 +1,11 @@
-//! Deterministic sharded parallel discrete-event simulation (PDES).
+//! Deterministic sharded discrete-event simulation (PDES).
 //!
-//! The [`engine`](crate::engine) module runs one event queue on one core;
-//! the [`montecarlo`](crate::montecarlo) module parallelizes *replications*
-//! of whole runs. This module parallelizes a **single run**: the model is
-//! partitioned into N logical shards (by natural partition — OST, SSU,
-//! router zone, namespace), each owning a private [`Engine`], a private
-//! counter-based RNG stream, and private state, synchronized by
-//! **conservative epoch barriers**:
+//! The [`engine`](crate::engine) module runs one event queue; the
+//! [`montecarlo`](crate::montecarlo) module parallelizes *replications* of
+//! whole runs. This module partitions a **single run** into N logical
+//! shards (by natural partition — OST, SSU, router zone, namespace), each
+//! owning a private [`Engine`], a private counter-based RNG stream, and
+//! private state, synchronized by **conservative epoch barriers**:
 //!
 //! - **Lookahead contract.** The model declares a minimum cross-shard
 //!   latency `lookahead`. A cross-shard event sent at simulated time `t`
@@ -23,25 +22,27 @@
 //!   per-`(src, dst)` mailboxes during the window and are flushed at the
 //!   barrier in fixed shard order (`src` ascending, then `dst` ascending,
 //!   then send order). Scheduling order — and therefore the engine's
-//!   same-instant tie-breaking — is a function of the model alone, never of
-//!   the thread schedule.
+//!   same-instant tie-breaking — is a function of the model alone.
 //! - **Fixed-shape reduction.** Per-shard accumulators are returned in
 //!   shard order; [`PdesRun::merged`] folds them through the same
-//!   [`tree_merge`] the Monte Carlo engine uses. A run is therefore
-//!   **bit-identical whether it executes on 1 thread or 8** (enforced by
-//!   `tests/pdes_threads.rs`, the same differential harness as
-//!   `tests/montecarlo_threads.rs`).
+//!   [`tree_merge`] the Monte Carlo engine uses.
+//!
+//! Within each window the shards step one after another, in shard order,
+//! on the calling thread. Each shard pops from a heap a fraction of the
+//! single engine's size, which is what sharding buys. Stepping the shards
+//! of a window on scoped threads lost on a 2-core host: E8's federation
+//! storm has thousands of barriers, each spawning threads for a few
+//! microseconds of work (`pdes_scale --bench`: 17.8 ms sequential,
+//! 1,014 ms with 7 helper threads).
 //!
 //! [`ShardedEngine::run_sequential`] executes the identical shard set in a
 //! single global `(time, shard)` order with immediate message delivery —
-//! the differential oracle for the epoch-parallel path. Per-shard handler
-//! sequences are identical between the two modes whenever no two events on
-//! the same shard share an exact nanosecond timestamp with a cross-shard
-//! message involved; models with continuous (float-derived) event times are
+//! the differential oracle for the epoch path. Per-shard handler sequences
+//! are identical between the two modes whenever no two events on the same
+//! shard share an exact nanosecond timestamp with a cross-shard message
+//! involved; models with continuous (float-derived) event times are
 //! tie-free by construction, and purely local ties order identically in
-//! both modes.
-
-use rayon::prelude::*;
+//! both modes (enforced by `tests/pdes_threads.rs`).
 
 use crate::engine::{Engine, EventContext};
 use crate::mem::{slab_bytes, MemFootprint};
@@ -78,11 +79,11 @@ impl PdesConfig {
 /// `handle` runs with exclusive access to the shard; cross-shard
 /// communication goes exclusively through [`ShardCtx::send`]. `finish`
 /// extracts the shard's accumulator once the run completes.
-pub trait Shard: Send {
+pub trait Shard {
     /// Event payload delivered to this shard.
-    type Event: Send;
+    type Event;
     /// Per-shard accumulator extracted at the end of the run.
-    type Out: Send;
+    type Out;
 
     /// Handle one event at `ctx.now()`.
     fn handle(&mut self, ctx: &mut ShardCtx<'_, '_, Self::Event>, ev: Self::Event);
@@ -212,8 +213,7 @@ pub struct PdesRun<A> {
 impl<A: Merge> PdesRun<A> {
     /// Combine the per-shard accumulators through the fixed pairwise tree
     /// reduction shared with the Monte Carlo engine. The tree shape depends
-    /// only on the shard count, so the merged value is bit-identical across
-    /// thread counts.
+    /// only on the shard count.
     pub fn merged(self) -> A {
         tree_merge(self.outs)
     }
@@ -267,14 +267,14 @@ impl<S: Shard> ShardedEngine<S> {
         self.slots[shard].engine.schedule(at, ev);
     }
 
-    /// Run to the horizon with conservative epoch barriers, shards executing
-    /// in parallel within each window. Bit-identical across thread counts.
+    /// Run to the horizon with conservative epoch barriers, shards stepping
+    /// in shard order within each window.
     pub fn run(self) -> PdesRun<S::Out> {
         self.run_with_observer(|_| {})
     }
 
-    /// [`run`](Self::run), invoking `observer` after each epoch barrier
-    /// (from the coordinator thread, in epoch order — deterministic).
+    /// [`run`](Self::run), invoking `observer` after each epoch barrier, in
+    /// epoch order.
     pub fn run_with_observer(mut self, mut observer: impl FnMut(&EpochReport)) -> PdesRun<S::Out> {
         let n = self.slots.len();
         let w = self.cfg.lookahead.as_nanos();
@@ -307,7 +307,7 @@ impl<S: Shard> ShardedEngine<S> {
             let end = SimTime((k + 1).saturating_mul(w).min(bound.as_nanos()));
             let delivered: u64 = self
                 .slots
-                .par_iter_mut()
+                .iter_mut()
                 .map(|slot| run_window(slot, end, lookahead))
                 .sum();
             let messages = self.flush_mailboxes();
@@ -332,14 +332,11 @@ impl<S: Shard> ShardedEngine<S> {
     }
 
     /// The epoch barrier's second half: drain every shard's outboxes into
-    /// the destination engines in fixed `(src, dst, send)` order. This is
-    /// the step that erases rayon's scheduling order — whatever order the
-    /// window closures *finished* in, messages are delivered in `src`
-    /// ascending order. Mailboxes are drained **in place**: each inner `Vec`
-    /// keeps its capacity for the next window, so steady-state epochs
-    /// allocate nothing (the outer `Vec<Vec<_>>` is moved out and back to
-    /// satisfy the borrow checker — an O(1) pointer swap). Returns the
-    /// cross-shard message count.
+    /// the destination engines in fixed `(src, dst, send)` order. Mailboxes
+    /// are drained **in place**: each inner `Vec` keeps its capacity for the
+    /// next window, so steady-state epochs allocate nothing (the outer
+    /// `Vec<Vec<_>>` is moved out and back to satisfy the borrow checker —
+    /// an O(1) pointer swap). Returns the cross-shard message count.
     fn flush_mailboxes(&mut self) -> u64 {
         let mut messages = 0u64;
         for src in 0..self.slots.len() {
@@ -532,7 +529,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_run_matches_the_sequential_oracle_bitwise() {
+    fn epoch_run_matches_the_sequential_oracle_bitwise() {
         let par = ring(5).run();
         let seq = ring(5).run_sequential();
         assert_eq!(par.outs.len(), 5);
